@@ -457,7 +457,9 @@ class DiscoveryEngine:
                 tol=tol,
                 max_sweeps=config.max_sweeps,
             )
-        self.profile.add_fit(time.perf_counter() - fit_start, fit.sweeps)
+        self.profile.add_fit(
+            time.perf_counter() - fit_start, fit.sweeps, fit.checks
+        )
         return fit
 
     def _at_capacity(self, constraints: ConstraintSet) -> bool:

@@ -91,6 +91,9 @@ def fit_dual(
         converged=converged,
         sweeps=int(result.nit),
         max_violation=violation,
+        # Every dual evaluation measures all violations (its gradient);
+        # the last one re-measures the returned multipliers.
+        checks=int(result.nfev) + 1,
         history=[violation],
         trace=[],
     )

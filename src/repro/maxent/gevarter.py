@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.exceptions import ConstraintError, ConvergenceError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import FitResult
+from repro.maxent.ipf import FitPlan, FitResult, max_violation
 from repro.maxent.model import MaxEntModel
 
 
@@ -76,10 +76,7 @@ def fit_gevarter(
     for cell in constraints.cells:
         model.cell_factors.setdefault(cell.key, 1.0)
 
-    cell_slicers = {
-        cell.key: _slicer(schema, cell.attributes, cell.values)
-        for cell in constraints.cells
-    }
+    plan = FitPlan(constraints)
 
     history: list[float] = []
     trace: list[dict[str, float]] = []
@@ -91,20 +88,22 @@ def fit_gevarter(
     violation = np.inf
     for sweeps in range(1, max_sweeps + 1):
         # Cell factors first (the paper's Eq 75 solves b before the rest).
-        for cell in constraints.cells:
-            _solve_cell_factor(model, cell, cell_slicers[cell.key])
+        for cell, (_, slicer, _) in zip(constraints.cells, plan.cells):
+            _solve_cell_factor(model, cell, slicer)
         # Then each first-order a, value by value (Eqs 76-86).
         for attribute in schema:
             target = constraints.margin(attribute.name)
             for value in range(attribute.cardinality):
                 _solve_margin_factor(model, attribute.name, value, target[value])
         # Finally a0 from the normalization equation (Eq 87).
-        total = model.unnormalized().sum()
+        tensor = model.unnormalized()
+        total = tensor.sum()
         if total <= 0:
             raise ConstraintError("model lost all mass during fitting")
         model.a0 = 1.0 / total
+        tensor *= model.a0
 
-        violation = _max_violation(model, constraints, cell_slicers)
+        violation = max_violation(tensor, plan)
         history.append(violation)
         if record_trace:
             trace.append(model.a_values())
@@ -123,16 +122,10 @@ def fit_gevarter(
         converged=converged,
         sweeps=sweeps,
         max_violation=float(violation),
+        checks=sweeps,
         history=history,
         trace=trace,
     )
-
-
-def _slicer(schema, names, values) -> tuple:
-    slicer: list[slice | int] = [slice(None)] * len(schema)
-    for name, value in zip(names, values):
-        slicer[schema.axis(name)] = value
-    return tuple(slicer)
 
 
 def _solve_cell_factor(model: MaxEntModel, cell, slicer) -> None:
@@ -145,12 +138,15 @@ def _solve_cell_factor(model: MaxEntModel, cell, slicer) -> None:
     total = tensor.sum()
     if total <= 0:
         raise ConstraintError("model lost all mass during fitting")
+    if cell.probability == 0.0:
+        # a = p*rest / ((1-p)*base) is 0 whatever the slice's mass, which
+        # may already be 0 under an enclosing zero-target cell.
+        model.cell_factors[cell.key] = 0.0
+        return
     current_factor = model.cell_factors[cell.key]
     slice_mass = float(tensor[slicer].sum())
     rest_mass = float(total - slice_mass)
     if current_factor == 0.0:
-        if cell.probability == 0.0:
-            return
         raise ConstraintError(
             f"cell factor for {cell.key} collapsed to zero but target is "
             f"{cell.probability}"
@@ -201,19 +197,3 @@ def _solve_margin_factor(
     model.margin_factors[name][value] = (target * rest_mass) / (
         (1.0 - target) * base
     )
-
-
-def _max_violation(model, constraints, cell_slicers) -> float:
-    tensor = model.unnormalized()
-    total = float(tensor.sum())
-    schema = model.schema
-    worst = 0.0
-    for axis, attribute in enumerate(schema):
-        target = constraints.margin(attribute.name)
-        other_axes = tuple(a for a in range(len(schema)) if a != axis)
-        current = tensor.sum(axis=other_axes) / total
-        worst = max(worst, float(np.abs(current - target).max()))
-    for cell in constraints.cells:
-        share = float(tensor[cell_slicers[cell.key]].sum()) / total
-        worst = max(worst, abs(share - cell.probability))
-    return worst

@@ -5,7 +5,8 @@ that makes the model satisfy that constraint while leaving its factored
 form intact:
 
 - a first-order margin scales each value slice by ``target / current``
-  (classic IPF; total mass is preserved because targets sum to 1);
+  (classic IPF; total mass is preserved because targets sum to 1), and a
+  subset margin does the same over its whole marginal table;
 - a cell constraint scales the cell slice by ``p / s`` and the complement
   by ``(1 - p) / (1 - s)`` — the IPF step for the binary partition
   {cell, complement}, which is the cell's indicator feature plus
@@ -16,19 +17,29 @@ multiplies the corresponding ``a`` factor, and complement scalings are
 absorbed into ``a0``.  This converges to the same fixed point as the paper's
 Gauss–Seidel scheme (:mod:`repro.maxent.gevarter`); the tests assert so.
 
-The sweeps are allocation-lean: the working tensor is created once and every
-scaling happens in place (broadcast ``*=`` on the tensor or on a slice), so a
-sweep allocates only the small per-constraint ratio arrays instead of one
-full-tensor copy per update.  The convergence check reuses the margin sums it
-computes: the first-order sums measured for the violation are handed to the
-next sweep, whose leading axis would otherwise recompute the identical
-reduction on the unchanged tensor.  Both changes are bitwise no-ops on the
-iteration path — same IEEE operations, same order — so fitted models are
-unchanged to the last ulp.
+A :class:`FitPlan` lays the constraint set out over the joint tensor once
+per fit, and the sweep keeps three invariants:
+
+- **Lean passes.**  The working tensor is allocated once and scaled in
+  place.  Each attribute's margin is read through a ``(pre, card, post)``
+  view of it, so a margin is one two-axis reduction, and every cell's
+  slicer is precomputed.
+- **Cell updates preserve mass; the rescale is deferred.**  A cell update
+  moves mass between the cell and its complement but keeps the total at
+  1, so the complement factor ``(1 - p) / (1 - s)`` folds into one scalar.
+  The cell sweep touches only each cell's slice and rescales the whole
+  tensor once, at the end of the sweep.
+- **A full check confirms convergence.**  The sweep measures every
+  constraint's pre-update violation as it visits it.  Only when the
+  sweep's maximum of those falls below ``tol`` does the fit run the full
+  post-sweep check (:func:`max_violation`), and it stops only when that
+  check passes too, so a result's ``max_violation`` is always a real
+  post-sweep measurement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +64,18 @@ class FitResult:
     sweeps:
         Number of full sweeps performed.
     max_violation:
-        Final maximum absolute constraint violation.
+        Maximum absolute constraint violation of the returned model,
+        measured by a full check after the last sweep.
+    checks:
+        Number of full convergence checks run.  IPF runs one only when a
+        sweep's in-sweep maximum falls below tolerance; the Gevarter
+        solver checks after every sweep and the dual solver at every
+        objective evaluation.
     history:
-        Max violation after each sweep.
+        One max violation per sweep.  For IPF each entry is the sweep's
+        in-sweep maximum (the largest pre-update violation measured as
+        the sweep visited each constraint), except on sweeps that ran the
+        full convergence check, which record that check's value.
     trace:
         Optional per-sweep snapshots of all named ``a`` values (Table-2
         style); empty unless tracing was requested.
@@ -65,6 +85,7 @@ class FitResult:
     converged: bool
     sweeps: int
     max_violation: float
+    checks: int = 0
     history: list[float] = field(default_factory=list)
     trace: list[dict[str, float]] = field(default_factory=list)
 
@@ -149,7 +170,7 @@ def fit_ipf(
             model.table_factors[names] = np.ones(target.shape)
 
     # The working tensor is allocated once; every subsequent scaling is an
-    # in-place broadcast multiply.
+    # in-place multiply on it or on a view of it.
     tensor = model.unnormalized()
     tensor *= model.a0
     total = tensor.sum()
@@ -158,31 +179,36 @@ def fit_ipf(
     model.a0 /= total
     tensor /= total
 
-    cell_slicers = {
-        cell.key: _slicer(schema, cell.attributes, cell.values)
-        for cell in constraints.cells
-    }
+    plan = FitPlan(constraints)
+    views = plan.margin_views(tensor)
 
     history: list[float] = []
     trace: list[dict[str, float]] = []
     converged = False
+    checked = False
     sweeps = 0
-    violation, lead_sums = _max_violation(
-        tensor, constraints, cell_slicers, schema
-    )
+    checks = 0
     for sweeps in range(1, max_sweeps + 1):
-        _margin_sweep(tensor, constraints, model, schema, lead_sums)
-        _subset_margin_sweep(tensor, constraints, model, schema)
-        _cell_sweep(tensor, constraints, model, cell_slicers)
-        violation, lead_sums = _max_violation(
-            tensor, constraints, cell_slicers, schema
-        )
+        swept = _margin_sweep(plan, views, model)
+        swept = max(swept, _subset_margin_sweep(tensor, plan, model))
+        swept = max(swept, _cell_sweep(tensor, plan, model))
+        checked = swept < tol
+        if checked:
+            checks += 1
+            violation = max_violation(tensor, plan)
+        else:
+            violation = swept
         history.append(violation)
         if record_trace:
             trace.append(model.a_values())
-        if violation < tol:
+        if checked and violation < tol:
             converged = True
             break
+    if not checked:
+        # The budget ran out on a sweep that ran no full check: measure
+        # the state being returned.
+        checks += 1
+        violation = max_violation(tensor, plan)
 
     if not converged and require_convergence:
         raise ConvergenceError(
@@ -195,127 +221,171 @@ def fit_ipf(
         converged=converged,
         sweeps=sweeps,
         max_violation=violation,
+        checks=checks,
         history=history,
         trace=trace,
     )
 
 
-def _slicer(schema, names, values) -> tuple:
+def cell_slicer(schema, names, values) -> tuple:
+    """Index selecting one marginal cell's slice of the joint tensor."""
     slicer: list[slice | int] = [slice(None)] * len(schema)
     for name, value in zip(names, values):
         slicer[schema.axis(name)] = value
     return tuple(slicer)
 
 
-def _margin_sweep(
-    tensor, constraints, model, schema, lead_sums=None
-) -> None:
+class FitPlan:
+    """A constraint set laid out over the joint tensor, built once per fit.
+
+    - ``margins``: ``(name, target, (pre, card, post))`` per attribute.
+      Reshaping the C-ordered joint to that shape puts the attribute on
+      axis 1, so its margin is ``sum(axis=(0, 2))``.
+    - ``subsets``: ``(names, target, other_axes, broadcast_shape)`` per
+      subset margin.
+    - ``cells``: ``(key, slicer, probability)`` per cell constraint.
+    """
+
+    def __init__(self, constraints: ConstraintSet):
+        schema = constraints.schema
+        shape = schema.shape
+        self.margins = []
+        for axis, attribute in enumerate(schema):
+            pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+            self.margins.append(
+                (
+                    attribute.name,
+                    constraints.margin(attribute.name),
+                    (pre, attribute.cardinality, post),
+                )
+            )
+        self.subsets = []
+        for names, target in constraints.subset_margins.items():
+            axes = schema.axes(names)
+            other_axes = tuple(a for a in range(len(shape)) if a not in axes)
+            broadcast = tuple(n if a in axes else 1 for a, n in enumerate(shape))
+            self.subsets.append((names, target, other_axes, broadcast))
+        self.cells = [
+            (
+                cell.key,
+                cell_slicer(schema, cell.attributes, cell.values),
+                cell.probability,
+            )
+            for cell in constraints.cells
+        ]
+
+    def margin_views(self, tensor: np.ndarray) -> list[np.ndarray]:
+        """One 3-D view per attribute of the C-contiguous ``tensor``."""
+        return [tensor.reshape(shape) for _, _, shape in self.margins]
+
+
+def max_violation(tensor: np.ndarray, plan: FitPlan) -> float:
+    """Max absolute violation of ``plan``'s constraints by ``tensor``.
+
+    ``tensor`` is the joint with its normalization applied; its distance
+    from total mass 1 counts as a violation too.
+    """
+    total = float(tensor.sum())
+    worst = abs(total - 1.0)
+    for _, target, shape in plan.margins:
+        current = tensor.reshape(shape).sum(axis=(0, 2)) / total
+        worst = max(worst, float(np.abs(current - target).max()))
+    for _, target, other_axes, _ in plan.subsets:
+        current = tensor.sum(axis=other_axes) / total
+        worst = max(worst, float(np.abs(current - target).max()))
+    for _, slicer, probability in plan.cells:
+        share = float(tensor[slicer].sum()) / total
+        worst = max(worst, abs(share - probability))
+    return worst
+
+
+def _ratio(current: np.ndarray, target: np.ndarray):
+    """``target / current`` with 0 where the model has no mass.
+
+    Returns ``(ratio, conflict)``; ``conflict`` is the flat index of the
+    first entry with a positive target on zero mass (a structural
+    conflict), else None.
+    """
+    if current.min() > 0:
+        return target / current, None
+    positive = current > 0
+    ratio = np.zeros_like(current)
+    ratio[positive] = target[positive] / current[positive]
+    infeasible = (~positive) & (target > 0)
+    if infeasible.any():
+        return ratio, int(np.flatnonzero(infeasible)[0])
+    return ratio, None
+
+
+def _margin_sweep(plan, views, model) -> float:
     """One in-place pass over the first-order margins.
 
-    ``lead_sums`` is the leading axis's raw margin sums as last measured
-    by :func:`_max_violation`; the tensor has not changed since, so the
-    reduction is reused instead of recomputed.  Later axes always
-    recompute — the tensor changes under them during the sweep.
+    Returns the largest pre-update violation it measured.
     """
-    for axis, attribute in enumerate(schema):
-        target = constraints.margin(attribute.name)
-        if axis == 0 and lead_sums is not None:
-            current = lead_sums
-        else:
-            other_axes = tuple(a for a in range(len(schema)) if a != axis)
-            current = tensor.sum(axis=other_axes)
-        ratio = np.ones_like(current)
-        positive = current > 0
-        ratio[positive] = target[positive] / current[positive]
-        infeasible = (~positive) & (target > 0)
-        if infeasible.any():
-            value = int(np.flatnonzero(infeasible)[0])
+    worst = 0.0
+    for (name, target, _), view in zip(plan.margins, views):
+        current = view.sum(axis=(0, 2))
+        worst = max(worst, float(np.abs(current - target).max()))
+        ratio, conflict = _ratio(current, target)
+        if conflict is not None:
             raise ConstraintError(
-                f"margin target P({attribute.name}={value}) > 0 but the "
+                f"margin target P({name}={conflict}) > 0 but the "
                 f"model assigns it zero mass (structural conflict)"
             )
-        ratio[~positive] = 0.0
-        shape = [1] * len(schema)
-        shape[axis] = attribute.cardinality
-        tensor *= ratio.reshape(shape)
-        model.margin_factors[attribute.name] *= ratio
+        view *= ratio[:, None]
+        model.margin_factors[name] *= ratio
+    return worst
 
 
-def _subset_margin_sweep(tensor, constraints, model, schema) -> None:
-    for names, target in constraints.subset_margins.items():
-        axes = schema.axes(names)
-        other_axes = tuple(a for a in range(len(schema)) if a not in axes)
+def _subset_margin_sweep(tensor, plan, model) -> float:
+    """One in-place pass over the subset margins; returns its max violation."""
+    worst = 0.0
+    for names, target, other_axes, broadcast in plan.subsets:
         current = tensor.sum(axis=other_axes)
-        ratio = np.ones_like(current)
-        positive = current > 0
-        ratio[positive] = target[positive] / current[positive]
-        infeasible = (~positive) & (target > 0)
-        if infeasible.any():
+        worst = max(worst, float(np.abs(current - target).max()))
+        ratio, conflict = _ratio(current, target)
+        if conflict is not None:
             raise ConstraintError(
                 f"subset margin for {names} puts mass on a cell the model "
                 f"assigns zero (structural conflict)"
             )
-        ratio[~positive] = 0.0
-        shape = [1] * len(schema)
-        for axis in axes:
-            shape[axis] = schema.attributes[axis].cardinality
-        tensor *= ratio.reshape(shape)
+        tensor *= ratio.reshape(broadcast)
         model.table_factors[names] = model.table_factors[names] * ratio
+    return worst
 
 
-def _cell_sweep(tensor, constraints, model, cell_slicers) -> None:
-    for cell in constraints.cells:
-        slicer = cell_slicers[cell.key]
-        mass = float(tensor[slicer].sum())
-        target = cell.probability
-        total = float(tensor.sum())
-        share = mass / total
+def _cell_sweep(tensor, plan, model) -> float:
+    """One pass over the cells with the complement rescale deferred.
+
+    The stored tensor times ``scale`` is the model: each update scales
+    only the cell's slice by ``ratio_in / ratio_out`` and folds
+    ``ratio_out`` into ``scale``, which is applied once at the end.
+    Returns the largest pre-update violation it measured.
+    """
+    worst = 0.0
+    scale = 1.0
+    for key, slicer, target in plan.cells:
+        share = scale * float(tensor[slicer].sum())
+        worst = max(worst, abs(share - target))
         if target == 0.0:
             if share > 0.0:
                 tensor[slicer] = 0.0
-                model.cell_factors[cell.key] = 0.0
+                model.cell_factors[key] = 0.0
                 rescale = 1.0 / (1.0 - share)
-                tensor *= rescale
+                scale *= rescale
                 model.a0 *= rescale
             continue
         if share <= 0.0:
             raise ConstraintError(
-                f"cell target {cell.key} = {target} > 0 but the model "
+                f"cell target {key} = {target} > 0 but the model "
                 f"assigns it zero mass (structural conflict)"
             )
         ratio_in = target / share
         ratio_out = (1.0 - target) / (1.0 - share)
-        tensor *= ratio_out
         tensor[slicer] *= ratio_in / ratio_out
-        model.cell_factors[cell.key] *= ratio_in / ratio_out
+        model.cell_factors[key] *= ratio_in / ratio_out
         model.a0 *= ratio_out
-
-
-def _max_violation(
-    tensor, constraints, cell_slicers, schema
-) -> tuple[float, np.ndarray]:
-    """Max absolute constraint violation, plus the leading axis's raw sums.
-
-    The returned sums let the next :func:`_margin_sweep` skip its first
-    reduction (the tensor is untouched between the check and the sweep).
-    """
-    total = float(tensor.sum())
-    worst = abs(total - 1.0)
-    lead_sums = None
-    for axis, attribute in enumerate(schema):
-        target = constraints.margin(attribute.name)
-        other_axes = tuple(a for a in range(len(schema)) if a != axis)
-        raw = tensor.sum(axis=other_axes)
-        if axis == 0:
-            lead_sums = raw
-        current = raw / total
-        worst = max(worst, float(np.abs(current - target).max()))
-    for names, target in constraints.subset_margins.items():
-        axes = schema.axes(names)
-        other_axes = tuple(a for a in range(len(schema)) if a not in axes)
-        current = tensor.sum(axis=other_axes) / total
-        worst = max(worst, float(np.abs(current - target).max()))
-    for cell in constraints.cells:
-        share = float(tensor[cell_slicers[cell.key]].sum()) / total
-        worst = max(worst, abs(share - cell.probability))
-    return worst, lead_sums
+        scale *= ratio_out
+    if scale != 1.0:
+        tensor *= scale
+    return worst

@@ -163,7 +163,9 @@ class DiscoveryProfile:
     ``scan`` covers candidate-pool evaluations that adopted a constraint;
     ``verify`` covers the terminating scan of each order (the one that
     confirmed nothing significant) and a rerun's per-constraint
-    re-verification tests; ``fit`` covers the solver.  Rendered by
+    re-verification tests; ``fit`` covers the solver, whose work is
+    counted as ``fit_sweeps`` and ``fit_checks`` (full convergence checks,
+    see :class:`~repro.maxent.ipf.FitResult`).  Rendered by
     ``repro discover --profile``.
 
     Alongside the stage totals, ``*_call_seconds`` keep the individual
@@ -195,6 +197,7 @@ class DiscoveryProfile:
     fit_seconds: float = 0.0
     fit_calls: int = 0
     fit_sweeps: int = 0
+    fit_checks: int = 0
     scan_paths: list[dict] = field(default_factory=list)
     scan_call_seconds: list[float] = field(default_factory=list)
     verify_call_seconds: list[float] = field(default_factory=list)
@@ -236,10 +239,11 @@ class DiscoveryProfile:
         self.verify_cells += cells
         self.verify_call_seconds.append(seconds)
 
-    def add_fit(self, seconds: float, sweeps: int) -> None:
+    def add_fit(self, seconds: float, sweeps: int, checks: int) -> None:
         self.fit_seconds += seconds
         self.fit_calls += 1
         self.fit_sweeps += sweeps
+        self.fit_checks += checks
         self.fit_call_seconds.append(seconds)
 
     @property
@@ -287,7 +291,7 @@ class DiscoveryProfile:
             ("scan", self.scan_seconds, self.scan_calls,
              f"{self.scan_cells} cells"),
             ("fit", self.fit_seconds, self.fit_calls,
-             f"{self.fit_sweeps} sweeps"),
+             f"{self.fit_sweeps} sweeps, {self.fit_checks} checks"),
             ("verify", self.verify_seconds, self.verify_calls,
              f"{self.verify_cells} cells"),
         ):

@@ -271,6 +271,9 @@ class TestEngineEquivalence:
         assert isinstance(profile, DiscoveryProfile)
         assert profile.scan_calls > 0
         assert profile.fit_calls > 0
+        # Every converged fit confirms with at least one full check; the
+        # fused sweep keeps checks far below one per sweep.
+        assert profile.fit_calls <= profile.fit_checks < profile.fit_sweeps
         assert profile.verify_calls > 0  # each order ends with one
         assert profile.total_seconds > 0.0
         assert len(profile.rows()) == 3

@@ -48,6 +48,7 @@ def test_discover_profile(capsys):
     for stage in ("scan", "fit", "verify"):
         assert stage in output
     assert "sweeps" in output
+    assert "checks" in output
     # The rendered table carries the per-stage work and share columns.
     assert "cells" in output
     assert "%" in output
